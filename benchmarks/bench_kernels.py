@@ -15,9 +15,16 @@ backends are interchangeable where it counts:
   prune the same pairs at the same stages ("zero counter drift", the
   same invariant ``repro obs diff`` gates on).
 
+It also times *observed* (telemetry-on) S-PPJ-F, TOPK-S-PPJ-P and
+S-PPJ-D on both backends.  With a metrics registry active every backend
+runs the scalar counted kernels, so the default numpy kernel must cost
+what python costs; ``results.observed_ratio_<algo>`` is numpy / python
+over interleaved medians.
+
 The direct run writes ``BENCH_kernels.json``; CI's perf-smoke job gates
-``results.speedup_sppj_c`` and ``results.speedup_sppj_b`` at >= 1.5 and
-the parity flags at 1.0 via ``scripts/check_bench_regression.py``.
+``results.speedup_sppj_c`` and ``results.speedup_sppj_b`` at >= 1.5,
+the parity flags at 1.0 and the observed ratios at <= 1.25 via
+``scripts/check_bench_regression.py``.
 
 Run under pytest (``pytest benchmarks/bench_kernels.py
 --benchmark-only``) for harness timings, or directly (``python
@@ -26,12 +33,13 @@ benchmarks/bench_kernels.py [--users N]``) for the table + JSON.
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
 import pytest
 
-from repro import Telemetry, stps_join
+from repro import Telemetry, stps_join, topk_stps_join
 from repro.bench.reporting import write_bench_json
 from repro.core.kernels import numpy_available
 
@@ -48,6 +56,14 @@ ALGORITHMS = ("s-ppj-c", "s-ppj-b")
 
 #: The acceptance floor CI enforces via --min-result.
 MIN_SPEEDUP = 1.5
+
+#: Observed-mode shapes timed on both backends (at PARITY_USERS).
+OBSERVED_ALGORITHMS = ("s-ppj-f", "topk-s-ppj-p", "s-ppj-d")
+OBSERVED_K = 10
+#: Interleaved rounds per observed shape (the order alternates).
+OBSERVED_ROUNDS = 7
+#: The ceiling CI enforces via --max-result on observed_ratio_*.
+MAX_OBSERVED_RATIO = 1.25
 
 numpy_missing = not numpy_available()
 
@@ -90,6 +106,28 @@ def _work_counters(dataset, algorithm, kernel):
         algorithm=algorithm, kernel=kernel, telemetry=tele,
     )
     return tele.work_counters()
+
+
+def _observed_seconds(dataset, algorithm, kernel):
+    """Wall-clock of one telemetry-on call (index build included)."""
+    eps_loc, eps_doc, eps_user = _thresholds()
+    kwargs = {"algorithm": algorithm, "kernel": kernel, "telemetry": Telemetry()}
+    start = time.perf_counter()
+    if algorithm.startswith("topk-"):
+        topk_stps_join(dataset, eps_loc, eps_doc, OBSERVED_K, **kwargs)
+    else:
+        stps_join(dataset, eps_loc, eps_doc, eps_user, **kwargs)
+    return time.perf_counter() - start
+
+
+def _observed_medians(dataset, algorithm):
+    """Median observed seconds per backend, rounds alternating order."""
+    times = {"numpy": [], "python": []}
+    for r in range(OBSERVED_ROUNDS):
+        order = ("numpy", "python") if r % 2 == 0 else ("python", "numpy")
+        for kernel in order:
+            times[kernel].append(_observed_seconds(dataset, algorithm, kernel))
+    return {kernel: statistics.median(ts) for kernel, ts in times.items()}
 
 
 def _parse_args(argv):
@@ -178,6 +216,26 @@ def main(argv=None) -> int:
         if algorithm == ALGORITHMS[0]:
             parity_counters = base
 
+    # Observed mode: both backends run the scalar counted kernels, so
+    # the default kernel must not make telemetry/EXPLAIN slower.
+    for algorithm in OBSERVED_ALGORITHMS:
+        medians = _observed_medians(parity_dataset, algorithm)
+        name = algorithm.replace("-", "_")
+        key = name.replace("s_ppj", "sppj")
+        for kernel, seconds in medians.items():
+            phases[f"observed_{name}_{kernel}"] = seconds
+        ratio = medians["numpy"] / medians["python"]
+        results[f"observed_ratio_{key}"] = ratio
+        print(
+            f"  observed {algorithm}: python {medians['python']:8.3f}s  "
+            f"numpy {medians['numpy']:8.3f}s  ratio {ratio:4.2f}"
+        )
+        if ratio > MAX_OBSERVED_RATIO:
+            failures.append(
+                f"observed {algorithm}: numpy/python {ratio:.2f} above "
+                f"{MAX_OBSERVED_RATIO}"
+            )
+
     path = write_bench_json(
         "kernels",
         config={
@@ -185,6 +243,8 @@ def main(argv=None) -> int:
             "num_users": args.users,
             "parity_num_users": PARITY_USERS,
             "algorithms": list(ALGORITHMS),
+            "observed_algorithms": list(OBSERVED_ALGORITHMS),
+            "observed_k": OBSERVED_K,
             "cpus": cpus,
         },
         phases=phases,
@@ -199,7 +259,8 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}")
         return 1
     print("OK: numpy kernels byte-identical, zero counter drift, "
-          f">= {MIN_SPEEDUP}x on both algorithms")
+          f">= {MIN_SPEEDUP}x on both algorithms, observed ratios "
+          f"<= {MAX_OBSERVED_RATIO}")
     return 0
 
 

@@ -37,14 +37,18 @@ __all__ = [
 ]
 
 #: Threshold-join algorithms by name.  "s-ppj-f" is the paper's best.
-#: All forward ``kernel=`` (the vectorized-kernel backend selector, see
-#: ``docs/performance.md``) to the evaluators that dispatch on it.
+#: All accept ``kernel=`` (the vectorized-kernel backend selector, see
+#: ``docs/performance.md``); only S-PPJ-C/B have a batch tier to select.
 JOIN_ALGORITHMS: Dict[str, Callable[..., List[UserPair]]] = {
     "naive": lambda ds, q, stats=None, kernel=None, **kw: naive_stps_join(ds, q),
     "s-ppj-c": lambda ds, q, stats=None, **kw: sppj_c(ds, q, stats=stats, **kw),
     "s-ppj-b": lambda ds, q, stats=None, **kw: sppj_b(ds, q, stats=stats, **kw),
-    "s-ppj-f": lambda ds, q, stats=None, **kw: sppj_f(ds, q, stats=stats, **kw),
-    "s-ppj-d": lambda ds, q, stats=None, **kw: sppj_d(ds, q, stats=stats, **kw),
+    "s-ppj-f": lambda ds, q, stats=None, kernel=None, **kw: sppj_f(
+        ds, q, stats=stats, **kw
+    ),
+    "s-ppj-d": lambda ds, q, stats=None, kernel=None, **kw: sppj_d(
+        ds, q, stats=stats, **kw
+    ),
 }
 
 #: Top-k algorithms by name.  "topk-s-ppj-p" wins on most datasets;

@@ -115,9 +115,14 @@ def similar_users(
     if not prebuilt:
         index.add_user(user, probe_objects)
 
+    # Ties at the k-th score are decided by the heap's canonical
+    # pair_sort_key rule, never by candidate order (which follows
+    # set iteration, hence string hashing): a candidate whose bound
+    # *equals* the threshold may still win a tie, so prune only below it
+    # and offer every score that reaches it.
     for pos, (bound, cand) in enumerate(scored):
         threshold = heap.threshold
-        if bound <= threshold:
+        if bound < threshold:
             if stats is not None:
                 stats.bound_pruned += len(scored) - pos
             break  # bounds are sorted: nothing later can qualify either
@@ -134,7 +139,7 @@ def similar_users(
             size_probe,
             stats,
         )
-        if score > threshold and score > 0.0:
+        if score >= threshold and score > 0.0:
             heap.offer(UserPair(user, cand, score))
 
     return [(pair.user_b, pair.score) for pair in heap.results()]
@@ -147,7 +152,11 @@ def naive_similar_users(
     eps_doc: float,
     k: int,
 ) -> List[Tuple[UserId, float]]:
-    """Exhaustive oracle for :func:`similar_users`."""
+    """Exhaustive oracle for :func:`similar_users`.
+
+    Ties break like :func:`~repro.core.query.pair_sort_key` (smaller user
+    id string first), the rule :func:`similar_users`' heap applies.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     probe_objects = dataset.user_objects(user)
@@ -162,5 +171,5 @@ def naive_similar_users(
         )
         if score > 0.0:
             scored.append((other, score))
-    scored.sort(key=lambda item: -item[1])
+    scored.sort(key=lambda item: (-item[1], str(item[0])))
     return scored[:k]

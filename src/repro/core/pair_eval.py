@@ -34,7 +34,6 @@ from ..spatial.grid import (
 from ..stindex.stgrid import CellPack, STGridIndex
 from ..textual.measures import JACCARD
 from ..textual.ppjoin import build_prefix_index
-from . import kernels as _kernels
 from .model import STObject, UserId
 
 __all__ = ["join_object_lists", "ppj_c_pair", "ppj_b_pair", "PairEvalStats"]
@@ -121,7 +120,6 @@ def _join_small(
     matched_a: Set[int],
     matched_b: Set[int],
     predicate: Optional[Callable[[STObject, STObject], bool]],
-    kernel: Optional[str] = None,
 ) -> None:
     """Nested-loop kernel for tiny cell contents.
 
@@ -132,18 +130,12 @@ def _join_small(
     provably fails the exact test — so matches are identical to the
     unfiltered loop.
 
-    With an active registry a counted twin runs instead — the numpy one
-    when the resolved ``kernel`` backend is numpy (same funnel tallies,
-    batched evaluation), otherwise the scalar one below; without a
-    registry this loop is byte-for-byte the uninstrumented kernel.
+    With an active registry the counted twin below runs instead (same
+    matches, per-stage funnel tallies); without a registry this loop is
+    byte-for-byte the uninstrumented kernel.
     """
     reg = _obs.active()
     if reg is not None:
-        if predicate is None and _kernels.resolve_kernel(kernel) == "numpy":
-            _kernels.join_small_counted_numpy(
-                pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, reg
-            )
-            return
         _join_small_counted(
             pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b,
             predicate, reg,
@@ -424,16 +416,12 @@ def _join_cell_packs(
     matched_b: Set[int],
     stats: Optional[PairEvalStats],
     predicate: Optional[Callable[[STObject, STObject], bool]],
-    kernel: Optional[str] = None,
 ) -> None:
     """Join two cached cell packs, reusing the index's prefix indexes.
 
     The larger side is indexed (more reuse per probe) through the
     per-``(cell, user)`` cache, so repeated joins of the same cell list
     against different partner users never rebuild PPJOIN structures.
-    With a metrics registry active and the numpy backend resolved, the
-    counted numpy twins evaluate the pair instead (identical matches and
-    funnel tallies, batched arithmetic).
     """
     na, nb = len(pack_a.oids), len(pack_b.oids)
     if stats is not None:
@@ -441,26 +429,13 @@ def _join_cell_packs(
         stats.object_pairs += na * nb
     if na * nb <= _SMALL_JOIN_LIMIT:
         _join_small(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate,
-            kernel,
+            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
         )
         return
     if nb >= na:
         cell_i, user_i, index_is_b = cell_b, user_b, True
     else:
         cell_i, user_i, index_is_b = cell_a, user_a, False
-    reg = _obs.active()
-    if (
-        reg is not None
-        and predicate is None
-        and _kernels.resolve_kernel(kernel) == "numpy"
-    ):
-        csr = index.cell_prefix_csr(cell_i, user_i, eps_doc)
-        _kernels.probe_join_counted_numpy(
-            pack_a, pack_b, csr, index_is_b, eps_sq, eps_doc,
-            matched_a, matched_b, reg,
-        )
-        return
     index_map = index.cell_prefix_index(cell_i, user_i, eps_doc)
     _probe_join(
         pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
@@ -477,7 +452,6 @@ def join_object_lists(
     matched_b: Set[int],
     stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> None:
     """PPJ between two object lists; matched oids are added to the sets.
 
@@ -504,8 +478,7 @@ def join_object_lists(
 
     if len(objs_a) * len(objs_b) <= _SMALL_JOIN_LIMIT:
         _join_small(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate,
-            kernel,
+            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
         )
         return
 
@@ -515,19 +488,6 @@ def join_object_lists(
     else:
         index_map = build_prefix_index(pack_a.docs, eps_doc)
         index_is_b = False
-    reg = _obs.active()
-    if (
-        reg is not None
-        and predicate is None
-        and _kernels.resolve_kernel(kernel) == "numpy"
-    ):
-        # List-based callers (PPJ-D clips per leaf area) have no index
-        # cache to lean on; the CSR is built inline for this call.
-        _kernels.probe_join_counted_numpy(
-            pack_a, pack_b, _kernels.prefix_index_csr(index_map), index_is_b,
-            eps_sq, eps_doc, matched_a, matched_b, reg,
-        )
-        return
     _probe_join(
         pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
         matched_a, matched_b, predicate,
@@ -579,7 +539,6 @@ def ppj_c_pair(
     eps_doc: float,
     stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> int:
     """Exact matched-object count via the PPJ-C traversal (no pruning).
 
@@ -599,7 +558,7 @@ def ppj_c_pair(
         if a_here is not None and b_here is not None:
             _join_cell_packs(
                 index, cell, user_a, a_here, cell, user_b, b_here,
-                eps_sq, eps_doc, matched_a, matched_b, stats, predicate, kernel,
+                eps_sq, eps_doc, matched_a, matched_b, stats, predicate,
             )
         col, row = cell
         for dc, dr in _LOWER_ID_OFFSETS:
@@ -611,7 +570,7 @@ def ppj_c_pair(
                     _join_cell_packs(
                         index, cell, user_a, a_here, other, user_b, b_other,
                         eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        predicate,
                     )
             if b_here is not None:
                 a_other = get_a(other)
@@ -619,7 +578,7 @@ def ppj_c_pair(
                     _join_cell_packs(
                         index, other, user_a, a_other, cell, user_b, b_here,
                         eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        predicate,
                     )
     return len(matched_a) + len(matched_b)
 
@@ -635,7 +594,6 @@ def ppj_b_pair(
     size_b: int,
     stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """PPJ-B: exact ``sigma`` or ``0.0`` once Lemma 1 proves it < eps_user.
 
@@ -692,7 +650,7 @@ def ppj_b_pair(
         if a_here is not None and b_here is not None:
             _join_cell_packs(
                 index, cell, user_a, a_here, cell, user_b, b_here,
-                eps_sq, eps_doc, matched_a, matched_b, stats, predicate, kernel,
+                eps_sq, eps_doc, matched_a, matched_b, stats, predicate,
             )
         # Snake partners (Figure 2b): paper-odd rows (0-based even) join
         # with every neighbour except the right cell, paper-even rows
@@ -706,7 +664,7 @@ def ppj_b_pair(
                     _join_cell_packs(
                         index, cell, user_a, a_here, other, user_b, b_other,
                         eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        predicate,
                     )
             if b_here is not None:
                 a_other = get_a(other)
@@ -714,7 +672,7 @@ def ppj_b_pair(
                     _join_cell_packs(
                         index, other, user_a, a_other, cell, user_b, b_here,
                         eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        predicate,
                     )
 
     sigma = (len(matched_a) + len(matched_b)) / total

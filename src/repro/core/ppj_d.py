@@ -40,7 +40,6 @@ def ppj_d_pair(
     size_a: int,
     size_b: int,
     stats: Optional[PairEvalStats] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """Exact ``sigma`` of a user pair, or ``0.0`` once it provably misses
     ``eps_user``."""
@@ -82,7 +81,6 @@ def ppj_d_pair(
                         matched_a,
                         matched_b,
                         stats,
-                        kernel=kernel,
                     )
             decided += len(objs_a)
 
@@ -101,7 +99,6 @@ def ppj_d_pair(
                         matched_a,
                         matched_b,
                         stats,
-                        kernel=kernel,
                     )
             decided += len(objs_b)
 

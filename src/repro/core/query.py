@@ -10,6 +10,7 @@ so results can be compared as sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
@@ -25,8 +26,8 @@ __all__ = [
 
 
 def _check_thresholds(eps_loc: float, eps_doc: float) -> None:
-    if eps_loc < 0:
-        raise ValueError("eps_loc must be non-negative")
+    if not math.isfinite(eps_loc) or eps_loc < 0:
+        raise ValueError("eps_loc must be a finite non-negative number")
     if not 0.0 < eps_doc <= 1.0:
         raise ValueError("eps_doc must be in (0, 1]")
 

@@ -75,7 +75,6 @@ def sppj_b(
                 sizes[user_a],
                 size_b,
                 stats,
-                kernel=kernel,
             )
             if score >= query.eps_user:
                 results.append(UserPair(user_a, user_b, score))

@@ -72,8 +72,7 @@ def sppj_c(
             continue
         for user_a in users[:i]:
             matched = ppj_c_pair(
-                index, user_a, user_b, query.eps_loc, query.eps_doc, stats,
-                kernel=kernel,
+                index, user_a, user_b, query.eps_loc, query.eps_doc, stats
             )
             total = sizes[user_a] + sizes[user_b]
             if total == 0:

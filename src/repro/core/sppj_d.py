@@ -31,7 +31,6 @@ def sppj_d(
     stats: Optional[PairEvalStats] = None,
     index: Optional[STLeafIndex] = None,
     partitioner: str = "rtree",
-    kernel: Optional[str] = None,
 ) -> List[UserPair]:
     """Evaluate an STPSJoin query with S-PPJ-D.
 
@@ -105,7 +104,6 @@ def sppj_d(
                 size_u,
                 sizes[cand],
                 stats,
-                kernel=kernel,
             )
             if score >= query.eps_user:
                 results.append(UserPair(user, cand, score))

@@ -86,7 +86,6 @@ def sppj_f(
     query: STPSJoinQuery,
     stats: Optional[PairEvalStats] = None,
     refine: str = "ppj-b",
-    kernel: Optional[str] = None,
 ) -> List[UserPair]:
     """Evaluate an STPSJoin query with S-PPJ-F.
 
@@ -148,13 +147,11 @@ def sppj_f(
                     sizes[cand],
                     sizes[user],
                     stats,
-                    kernel=kernel,
                 )
             else:
                 total = sizes[cand] + sizes[user]
                 matched = ppj_c_pair(
-                    index, cand, user, query.eps_loc, query.eps_doc, stats,
-                    kernel=kernel,
+                    index, cand, user, query.eps_loc, query.eps_doc, stats
                 )
                 score = matched / total if total else 0.0
             if score >= query.eps_user:

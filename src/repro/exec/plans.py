@@ -457,8 +457,7 @@ class SPPJCPlan(_PairwisePlan):
                 continue
             for j in range(j0, j1):
                 matched = ppj_c_pair(
-                    index, users[i], users[j], query.eps_loc, query.eps_doc, stats,
-                    kernel=state["kernel"],
+                    index, users[i], users[j], query.eps_loc, query.eps_doc, stats
                 )
                 total = sizes[i] + sizes[j]
                 if total == 0:
@@ -531,7 +530,6 @@ class SPPJBPlan(_PairwisePlan):
                     sizes[i],
                     sizes[j],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score >= query.eps_user:
                     out.append(UserPair(users[i], users[j], score))
@@ -559,6 +557,7 @@ class SPPJFPlan(_UserShardPlan):
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
+        _kernels.resolve_kernel(kernel)  # validated; no batch tier here
         return {
             "dataset": dataset,
             "users": list(dataset.users),
@@ -567,7 +566,6 @@ class SPPJFPlan(_UserShardPlan):
             "rank": {u: i for i, u in enumerate(dataset.users)},
             "query": query,
             "refine": refine,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def run_chunk(self, state, chunk, stats):
@@ -632,13 +630,11 @@ class SPPJFPlan(_UserShardPlan):
                         sizes[cand],
                         sizes[user],
                         stats,
-                        kernel=state["kernel"],
                     )
                 else:
                     total = sizes[cand] + sizes[user]
                     matched = ppj_c_pair(
-                        index, cand, user, query.eps_loc, query.eps_doc, stats,
-                        kernel=state["kernel"],
+                        index, cand, user, query.eps_loc, query.eps_doc, stats
                     )
                     score = matched / total if total else 0.0
                 if score >= query.eps_user:
@@ -670,13 +666,13 @@ class SPPJDPlan(_UserShardPlan):
             )
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
+        _kernels.resolve_kernel(kernel)  # validated; no batch tier here
         return {
             "index": index,
             "users": list(dataset.users),
             "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
             "rank": {u: i for i, u in enumerate(dataset.users)},
             "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def run_chunk(self, state, chunk, stats):
@@ -722,7 +718,6 @@ class SPPJDPlan(_UserShardPlan):
                     size_u,
                     sizes[cand],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score >= query.eps_user:
                     out.append(UserPair(user, cand, score))
@@ -823,6 +818,7 @@ class TopKGridPlan(_UserShardPlan):
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
+        _kernels.resolve_kernel(kernel)  # validated; no batch tier here
         return {
             "dataset": dataset,
             "users": list(dataset.users),
@@ -830,7 +826,6 @@ class TopKGridPlan(_UserShardPlan):
             "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
             "rank": {u: i for i, u in enumerate(dataset.users)},
             "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def run_chunk(self, state, chunk, stats):
@@ -890,7 +885,6 @@ class TopKGridPlan(_UserShardPlan):
                     sizes[cand],
                     sizes[user],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score > 0.0:
                     heap.offer(UserPair(cand, user, score))
@@ -920,13 +914,13 @@ class TopKLeafPlan(_UserShardPlan):
             index = STLeafIndex(dataset, query.eps_loc, fanout=fanout)
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
+        _kernels.resolve_kernel(kernel)  # validated; no batch tier here
         return {
             "index": index,
             "users": list(dataset.users),
             "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
             "rank": {u: i for i, u in enumerate(dataset.users)},
             "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def run_chunk(self, state, chunk, stats):
@@ -973,7 +967,6 @@ class TopKLeafPlan(_UserShardPlan):
                     size_u,
                     sizes[cand],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score > 0.0:
                     heap.offer(UserPair(cand, user, score))

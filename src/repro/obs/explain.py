@@ -186,7 +186,6 @@ class ExplainReport:
     counters: Dict[str, int] = field(default_factory=dict)
     engine_counters: Dict[str, int] = field(default_factory=dict)
     cache_counters: Dict[str, int] = field(default_factory=dict)
-    kernel_counters: Dict[str, int] = field(default_factory=dict)
     phases: List[dict] = field(default_factory=list)
     chunks: dict = field(default_factory=dict)
     top_chunks: List[dict] = field(default_factory=list)
@@ -210,7 +209,6 @@ class ExplainReport:
             "counters": self.counters,
             "engine_counters": self.engine_counters,
             "cache_counters": self.cache_counters,
-            "kernel_counters": self.kernel_counters,
             "phases": self.phases,
             "chunks": self.chunks,
             "top_chunks": self.top_chunks,
@@ -260,7 +258,6 @@ def build_explain(
         counters=counters,
         engine_counters=telemetry.metrics.counter_values("engine."),
         cache_counters=telemetry.metrics.counter_values("cache."),
-        kernel_counters=telemetry.metrics.counter_values("kernel."),
         phases=_phase_rows(telemetry.metrics),
     )
     if report is not None:

@@ -16,6 +16,7 @@ affects the result, fingerprint included.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -67,7 +68,13 @@ def _require_number(request: Dict[str, Any], key: str) -> float:
     value = request.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise QueryError(f"{key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = float("inf")
+    if not math.isfinite(number):
+        raise QueryError(f"{key} must be finite")
+    return number
 
 
 def _require_int(request: Dict[str, Any], key: str) -> int:

@@ -17,52 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 from ..core.model import STDataset, STObject, UserId
 from ..obs import runtime as _obs
 from ..spatial.geometry import Rect
 from ..spatial.grid import CellCoord, UniformGrid
 from ..textual.ppjoin import build_prefix_index
 
-__all__ = ["CellPack", "CellPackColumns", "STGridIndex"]
-
-
-class CellPackColumns:
-    """Numpy columns of a :class:`CellPack` (the vectorized-kernel layout).
-
-    Coordinates as float64 arrays, document lengths, the first/last token
-    id per document (``-1`` for empty docs), and all token ids flattened
-    into one int32 array with int64 offsets — documents are canonical
-    sorted tuples, so each flattened segment is sorted, which is what the
-    batched sorted-array intersection in :mod:`repro.core.kernels`
-    relies on.
-    """
-
-    __slots__ = ("xs", "ys", "lens", "tok_first", "tok_last", "tok_flat", "tok_off")
-
-    def __init__(self, pack: "CellPack"):
-        self.xs = _np.asarray(pack.xs, dtype=_np.float64)
-        self.ys = _np.asarray(pack.ys, dtype=_np.float64)
-        self.lens = _np.asarray(pack.lens, dtype=_np.int64)
-        docs = pack.docs
-        self.tok_first = _np.asarray(
-            [d[0] if d else -1 for d in docs], dtype=_np.int64
-        )
-        self.tok_last = _np.asarray(
-            [d[-1] if d else -1 for d in docs], dtype=_np.int64
-        )
-        off = _np.zeros(len(docs), dtype=_np.int64)
-        if len(docs):
-            _np.cumsum(self.lens[:-1], out=off[1:])
-        self.tok_off = off
-        flat: List[int] = []
-        for d in docs:
-            flat.extend(d)
-        self.tok_flat = _np.asarray(flat, dtype=_np.int32)
+__all__ = ["CellPack", "STGridIndex"]
 
 
 class CellPack:
@@ -76,7 +37,7 @@ class CellPack:
     objects for the (rare) predicate hook.
     """
 
-    __slots__ = ("objs", "oids", "xs", "ys", "docs", "doc_sets", "lens", "_cols")
+    __slots__ = ("objs", "oids", "xs", "ys", "docs", "doc_sets", "lens")
 
     def __init__(self, objs: Sequence[STObject]):
         self.objs = list(objs)
@@ -86,21 +47,9 @@ class CellPack:
         self.docs = [o.doc for o in self.objs]
         self.doc_sets = [o.doc_set for o in self.objs]
         self.lens = [len(o.doc) for o in self.objs]
-        self._cols: Optional[CellPackColumns] = None
 
     def __len__(self) -> int:
         return len(self.objs)
-
-    def columns(self) -> CellPackColumns:
-        """Lazy numpy columns over the same objects (cached).
-
-        Packs are immutable once built (``add_user`` invalidates whole
-        packs rather than mutating them), so the columns never go stale.
-        """
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = CellPackColumns(self)
-        return cols
 
 
 class STGridIndex:
@@ -143,9 +92,6 @@ class STGridIndex:
         ] = {}
         # user -> {cell -> pack} over every occupied cell of the user.
         self._user_packs: Dict[UserId, Dict[CellCoord, CellPack]] = {}
-        # (cell, user) -> threshold -> CSR form of the prefix index (the
-        # numpy probe kernel's layout; built on top of _prefix_indexes).
-        self._prefix_csrs: Dict[Tuple[CellCoord, UserId], Dict[float, tuple]] = {}
         # (user order, PairBatchKernel) built by repro.core.kernels for
         # the fused batch path; invalidated on any mutation.
         self._batch_kernel: Optional[Tuple[tuple, object]] = None
@@ -189,7 +135,6 @@ class STGridIndex:
         for cell in cells:
             self._packs.pop((cell, user), None)
             self._prefix_indexes.pop((cell, user), None)
-            self._prefix_csrs.pop((cell, user), None)
         self._user_packs.pop(user, None)
         self._batch_kernel = None
 
@@ -303,28 +248,6 @@ class STGridIndex:
             index = per_threshold[threshold] = build_prefix_index(docs, threshold)
             _obs.count("cache.prefix_index_builds")
         return index
-
-    def cell_prefix_csr(
-        self, cell: CellCoord, user: UserId, threshold: float
-    ) -> tuple:
-        """CSR (token-sorted numpy arrays) form of :meth:`cell_prefix_index`.
-
-        The layout the counted numpy probe kernel consumes; cached with
-        the same ``(cell, user, threshold)`` keying and lifetime as the
-        dict-based prefix index it is derived from.
-        """
-        from ..core.kernels import prefix_index_csr
-
-        key = (cell, user)
-        per_threshold = self._prefix_csrs.get(key)
-        if per_threshold is None:
-            per_threshold = self._prefix_csrs[key] = {}
-        csr = per_threshold.get(threshold)
-        if csr is None:
-            csr = per_threshold[threshold] = prefix_index_csr(
-                self.cell_prefix_index(cell, user, threshold)
-            )
-        return csr
 
     def cell_user_count(self, cell: CellCoord, user: UserId) -> int:
         """``|D^c_u|`` without materializing a list."""

@@ -4,12 +4,12 @@ Three layers of pinning for :mod:`repro.core.kernels`:
 
 * backend resolution — explicit argument beats ``REPRO_KERNEL`` beats
   auto-detection, and invalid choices fail loudly;
-* hypothesis property tests driving the numpy distance / token
-  intersection kernels against the scalar evaluators on adversarial
-  inputs (empty documents, duplicate tokens, identical coordinates,
-  distances exactly on the ``eps_loc`` boundary) — results must match to
-  the last float bit and, with a metrics registry active, the funnel
-  counters must tally identically;
+* hypothesis property tests driving the numpy batch kernel against the
+  scalar evaluators on adversarial inputs (empty documents, duplicate
+  tokens, identical coordinates, distances exactly on the ``eps_loc``
+  boundary) — results must match to the last float bit — and pinning
+  that counting the funnel (a metrics registry active) never changes a
+  matched count and always conserves;
 * whole-algorithm differentials: every join / top-k / knn algorithm
   under ``REPRO_KERNEL=numpy`` vs ``REPRO_KERNEL=python`` with
   byte-identical results and zero work-counter drift, the invariant
@@ -33,6 +33,7 @@ from repro.obs import runtime as _obs
 from repro.obs.metrics import MetricsRegistry
 from repro.stindex.stgrid import STGridIndex
 from tests.helpers import build_random_dataset
+from tests.obs.test_funnel import assert_conserved
 
 pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy unavailable"
@@ -125,50 +126,51 @@ def test_batch_kernel_matches_scalar_joins(dataset, q):
         assert _scores_hex(batched) == _scores_hex(scalar)
 
 
-def _counted_pairs(dataset, eps_doc, kernel, pair_fn):
-    """All-pairs matched counts + funnel counters under a live registry."""
+def _pair_counts(dataset, eps_doc, pair_fn, observed):
+    """All-pairs matched counts, with or without a live registry.
+
+    Returns ``(matched, counters)``; ``counters`` is empty unobserved.
+    """
     index = STGridIndex.build(dataset, _EPS_LOC, with_tokens=False)
     users = dataset.users
-    registry = MetricsRegistry()
+    registry = MetricsRegistry() if observed else None
     previous = _obs.activate(registry)
     try:
         matched = [
-            pair_fn(index, users[i], users[j], eps_doc, kernel)
+            pair_fn(index, users[i], users[j], eps_doc)
             for i in range(len(users))
             for j in range(i)
         ]
     finally:
         _obs.restore(previous)
-    counters = {
-        name: value
-        for name, value in registry.counter_values().items()
-        if not name.startswith("kernel.")
-    }
-    return matched, counters
+    return matched, registry.counter_values() if observed else {}
 
 
-def _ppj_c(index, a, b, eps_doc, kernel):
-    return ppj_c_pair(index, a, b, _EPS_LOC, eps_doc, None, kernel=kernel)
+def _assert_instrumentation_neutral(dataset, eps_doc, pair_fn):
+    """Counting the funnel never changes an answer, and it conserves."""
+    plain, _ = _pair_counts(dataset, eps_doc, pair_fn, observed=False)
+    counted, counters = _pair_counts(dataset, eps_doc, pair_fn, observed=True)
+    assert counted == plain
+    # Users whose cells are never adjacent join no cell pair at all.
+    if "funnel.object_pairs" in counters:
+        assert_conserved(counters)
+
+
+def _ppj_c(index, a, b, eps_doc):
+    return ppj_c_pair(index, a, b, _EPS_LOC, eps_doc, None)
 
 
 @settings(max_examples=25, deadline=None)
 @given(dataset=adversarial_datasets(), eps_doc=st.sampled_from([0.2, 0.5, 1.0]))
 def test_counted_kernels_match_scalar_funnel(dataset, eps_doc):
-    """With metrics active the numpy kernels count exactly like scalar."""
-    scalar_matched, scalar_counters = _counted_pairs(
-        dataset, eps_doc, "python", _ppj_c
-    )
-    numpy_matched, numpy_counters = _counted_pairs(
-        dataset, eps_doc, "numpy", _ppj_c
-    )
-    assert numpy_matched == scalar_matched
-    assert numpy_counters == scalar_counters
+    """With metrics active the counted kernels match the plain ones."""
+    _assert_instrumentation_neutral(dataset, eps_doc, _ppj_c)
 
 
 def test_probe_path_parity_dense_cell():
-    """Packs above the small-join limit take the probe kernel; its
-    accounting (length/positional pruning, encounter order) must match
-    the scalar probe loop exactly on a dense single-cell workload."""
+    """Packs above the small-join limit take the probe kernel; with a
+    registry active its matches must equal the uncounted probe loop's
+    on a dense single-cell workload, with a conserved funnel."""
     records = []
     for user in range(3):
         for i in range(45):  # 45*45 pairs >> the small-join limit
@@ -176,20 +178,11 @@ def test_probe_path_parity_dense_cell():
             records.append((user, 0.005, 0.005, toks))
     dataset = STDataset.from_records(records)
 
-    def pair_b(index, a, b, eps_doc, kernel):
-        return ppj_b_pair(
-            index, a, b, _EPS_LOC, eps_doc, 0.1, 45, 45, None, kernel=kernel
-        )
+    def pair_b(index, a, b, eps_doc):
+        return ppj_b_pair(index, a, b, _EPS_LOC, eps_doc, 0.1, 45, 45, None)
 
     for pair_fn in (_ppj_c, pair_b):
-        scalar_matched, scalar_counters = _counted_pairs(
-            dataset, 0.4, "python", pair_fn
-        )
-        numpy_matched, numpy_counters = _counted_pairs(
-            dataset, 0.4, "numpy", pair_fn
-        )
-        assert numpy_matched == scalar_matched
-        assert numpy_counters == scalar_counters
+        _assert_instrumentation_neutral(dataset, 0.4, pair_fn)
     assert any(
         n * n > 36 for n in (45,)
     )  # guard: the workload really exceeds the small-join limit
@@ -296,7 +289,6 @@ def test_report_and_explain_record_kernel(diff_dataset):
     assert not any(
         name.startswith("kernel.") for name in explain.work_dict()["counters"]
     )
-    assert explain.kernel_counters.get("kernel.numpy_batches", 0) > 0
 
 
 def test_serve_records_kernel_backend(diff_dataset):

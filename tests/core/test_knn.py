@@ -71,3 +71,45 @@ class TestSimilarUsers:
         got = similar_users(tiny_dataset, "u1", 0.005, 0.3, 2)
         assert got[0][0] == "u3"
         assert got[0][1] == pytest.approx(0.8)
+
+
+
+#: Runs the knn query on records read as JSON from stdin, in a fresh
+#: interpreter (so with its own string-hash seed).
+_KNN_SCRIPT = """
+import json, sys
+from repro import STDataset
+from repro.core.knn import similar_users
+ds = STDataset.from_records([tuple(r) for r in json.load(sys.stdin)])
+print(json.dumps(similar_users(ds, "probe", 0.01, 0.3, 5)))
+"""
+
+
+def test_knn_ties_independent_of_hash_seed():
+    """Which users tied at the k-th score survive must follow the
+    canonical pair order, not the iteration order of the index's
+    token -> users sets (which follows string hashing)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro import STDataset
+
+    records = [("probe", 0.0, 0.0, ["a", "b"])]
+    records += [(f"n{i:02d}", 0.0, 0.0, ["a", "b"]) for i in range(24)]
+    records += [(f"m{i:02d}", 0.001, 0.0, ["a"]) for i in range(6)]
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    answers = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _KNN_SCRIPT], input=json.dumps(records),
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        answers.append([tuple(pair) for pair in json.loads(out)])
+    oracle = naive_similar_users(
+        STDataset.from_records(records), "probe", 0.01, 0.3, 5
+    )
+    assert answers[0] == answers[1] == oracle

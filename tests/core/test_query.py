@@ -22,6 +22,8 @@ class TestSTPSJoinQuery:
             dict(eps_loc=0.1, eps_doc=1.5, eps_user=0.5),
             dict(eps_loc=0.1, eps_doc=0.5, eps_user=0.0),
             dict(eps_loc=0.1, eps_doc=0.5, eps_user=1.1),
+            dict(eps_loc=float("nan"), eps_doc=0.5, eps_user=0.5),
+            dict(eps_loc=float("inf"), eps_doc=0.5, eps_user=0.5),
         ],
     )
     def test_invalid(self, kwargs):
@@ -42,6 +44,11 @@ class TestTopKQuery:
     def test_invalid_k(self, k):
         with pytest.raises(ValueError):
             TopKQuery(0.1, 0.5, k)
+
+    @pytest.mark.parametrize("eps_loc", [float("nan"), float("inf")])
+    def test_non_finite_eps_loc(self, eps_loc):
+        with pytest.raises(ValueError, match="finite"):
+            TopKQuery(eps_loc, 0.5, 3)
 
 
 class TestUserPair:

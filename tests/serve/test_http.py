@@ -113,6 +113,13 @@ class TestErrorMapping:
                           "eps_loc": "wide", "eps_doc": 1, "eps_user": 1})
         assert exc_info.value.status == 400
 
+    def test_non_finite_threshold_400(self, served):
+        client, _, _ = served
+        with pytest.raises(ServerError) as exc_info:
+            client.query({"type": "topk", "dataset": "demo",
+                          "eps_loc": float("inf"), "eps_doc": 0.3, "k": 3})
+        assert exc_info.value.status == 400
+
     def test_invalid_json_400(self, served):
         client, _, _ = served
         request = urllib.request.Request(

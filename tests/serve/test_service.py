@@ -236,6 +236,22 @@ class TestValidationAndLimits:
             service.query({"type": "join", "dataset": "demo",
                            "eps_loc": "wide", "eps_doc": 1, "eps_user": 1})
 
+    @pytest.mark.parametrize("kind", ["join", "topk", "knn"])
+    @pytest.mark.parametrize("eps_loc", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_eps_loc_rejected_before_indexing(
+        self, service, dataset, kind, eps_loc
+    ):
+        with pytest.raises(QueryError, match="eps_loc must be finite"):
+            service.query({"type": kind, "dataset": "demo",
+                           "eps_loc": eps_loc, "eps_doc": EPS_DOC,
+                           "eps_user": EPS_USER, "k": K,
+                           "user": dataset.users[0]})
+        (record,) = service.audit_tail()
+        assert record["outcome"] == "bad_request"
+        assert service.registry.get("demo").index_stats() == {
+            "grid_indexes": 0, "leaf_indexes": 0,
+        }
+
     def test_knn_needs_user(self, service):
         with pytest.raises(QueryError):
             service.query({"type": "knn", "dataset": "demo",
