@@ -21,9 +21,18 @@ runs the scalar counted kernels, so the default numpy kernel must cost
 what python costs; ``results.observed_ratio_<algo>`` is numpy / python
 over interleaved medians.
 
+Last, it times S-PPJ-D and TOPK-S-PPJ-D on a fresh
+:class:`~repro.stindex.leaf_index.STLeafIndex` (the first ask, which
+fills the index's clip-pack cache) against a reused one (a repeat ask),
+over interleaved medians: ``results.leaf_warm_speedup_<algo>`` is first
+/ repeat, advisory only.  The two must agree byte for byte
+(``results.leaf_identical_<algo>``) with zero work-counter drift
+(``results.leaf_counter_drift_<algo>``).
+
 The direct run writes ``BENCH_kernels.json``; CI's perf-smoke job gates
 ``results.speedup_sppj_c`` and ``results.speedup_sppj_b`` at >= 1.5,
-the parity flags at 1.0 and the observed ratios at <= 1.25 via
+the parity flags (``leaf_identical_*`` among them) at 1.0, the observed
+ratios at <= 1.25 and the leaf counter drift at 0 via
 ``scripts/check_bench_regression.py``.
 
 Run under pytest (``pytest benchmarks/bench_kernels.py
@@ -42,6 +51,7 @@ import pytest
 from repro import Telemetry, stps_join, topk_stps_join
 from repro.bench.reporting import write_bench_json
 from repro.core.kernels import numpy_available
+from repro.stindex.leaf_index import STLeafIndex
 
 from _common import REPO_ROOT, dataset_for, thresholds_for
 
@@ -64,6 +74,11 @@ OBSERVED_K = 10
 OBSERVED_ROUNDS = 7
 #: The ceiling CI enforces via --max-result on observed_ratio_*.
 MAX_OBSERVED_RATIO = 1.25
+
+#: Leaf-index shapes asked on a fresh and on a reused index (at
+#: PARITY_USERS), and the interleaved rounds per shape.
+LEAF_ALGORITHMS = ("s-ppj-d", "topk-s-ppj-d")
+LEAF_ROUNDS = 5
 
 numpy_missing = not numpy_available()
 
@@ -128,6 +143,51 @@ def _observed_medians(dataset, algorithm):
         for kernel in order:
             times[kernel].append(_observed_seconds(dataset, algorithm, kernel))
     return {kernel: statistics.median(ts) for kernel, ts in times.items()}
+
+
+def _leaf_ask(dataset, algorithm, index, telemetry=None):
+    """(seconds, pairs) of one ask on a leaf index."""
+    eps_loc, eps_doc, eps_user = _thresholds()
+    kwargs = {"algorithm": algorithm, "index": index, "telemetry": telemetry}
+    start = time.perf_counter()
+    if algorithm.startswith("topk-"):
+        pairs = topk_stps_join(dataset, eps_loc, eps_doc, OBSERVED_K, **kwargs)
+    else:
+        pairs = stps_join(dataset, eps_loc, eps_doc, eps_user, **kwargs)
+    return time.perf_counter() - start, pairs
+
+
+def _leaf_cache_run(dataset, algorithm):
+    """First asks (fresh index) vs repeat asks (one reused index).
+
+    Returns the median seconds of each, whether every answer matched
+    byte for byte, and the work counters that differ between a
+    telemetry-on ask on a fresh index and one on the reused index.
+    """
+    eps_loc = _thresholds()[0]
+    reused = STLeafIndex(dataset, eps_loc)
+    _, expected = _leaf_ask(dataset, algorithm, reused)
+    times = {"first": [], "repeat": []}
+    identical = True
+    for r in range(LEAF_ROUNDS):
+        order = ("first", "repeat") if r % 2 == 0 else ("repeat", "first")
+        for ask in order:
+            index = reused if ask == "repeat" else STLeafIndex(dataset, eps_loc)
+            seconds, pairs = _leaf_ask(dataset, algorithm, index)
+            times[ask].append(seconds)
+            identical = identical and _identical(pairs, expected)
+    counters = {}
+    for ask in ("first", "repeat"):
+        index = reused if ask == "repeat" else STLeafIndex(dataset, eps_loc)
+        tele = Telemetry()
+        _leaf_ask(dataset, algorithm, index, telemetry=tele)
+        counters[ask] = tele.work_counters()
+    drift = sorted(
+        key for key in set(counters["first"]) | set(counters["repeat"])
+        if counters["first"].get(key) != counters["repeat"].get(key)
+    )
+    medians = {ask: statistics.median(ts) for ask, ts in times.items()}
+    return medians, identical, drift
 
 
 def _parse_args(argv):
@@ -236,6 +296,31 @@ def main(argv=None) -> int:
                 f"{MAX_OBSERVED_RATIO}"
             )
 
+    # Leaf-index caches: a reused index must answer exactly like a
+    # fresh one; how much faster it is stays advisory.
+    for algorithm in LEAF_ALGORITHMS:
+        medians, identical, drift = _leaf_cache_run(parity_dataset, algorithm)
+        name = algorithm.replace("-", "_")
+        key = name.replace("s_ppj", "sppj")
+        for ask, seconds in medians.items():
+            phases[f"leaf_{name}_{ask}"] = seconds
+        speedup = medians["first"] / medians["repeat"]
+        results[f"leaf_warm_speedup_{key}"] = speedup
+        results[f"leaf_identical_{key}"] = 1.0 if identical else 0.0
+        results[f"leaf_counter_drift_{key}"] = float(len(drift))
+        print(
+            f"  leaf {algorithm}: first {medians['first']:8.3f}s  "
+            f"repeat {medians['repeat']:8.3f}s  speedup {speedup:4.2f}x  "
+            f"results {'identical' if identical else 'DIVERGED'}"
+        )
+        if not identical:
+            failures.append(f"{algorithm}: reused leaf index changed results")
+        if drift:
+            failures.append(
+                f"{algorithm}: work counters drifted on a reused leaf index "
+                f"({', '.join(drift)})"
+            )
+
     path = write_bench_json(
         "kernels",
         config={
@@ -245,6 +330,7 @@ def main(argv=None) -> int:
             "algorithms": list(ALGORITHMS),
             "observed_algorithms": list(OBSERVED_ALGORITHMS),
             "observed_k": OBSERVED_K,
+            "leaf_algorithms": list(LEAF_ALGORITHMS),
             "cpus": cpus,
         },
         phases=phases,
@@ -260,7 +346,7 @@ def main(argv=None) -> int:
         return 1
     print("OK: numpy kernels byte-identical, zero counter drift, "
           f">= {MIN_SPEEDUP}x on both algorithms, observed ratios "
-          f"<= {MAX_OBSERVED_RATIO}")
+          f"<= {MAX_OBSERVED_RATIO}, reused leaf indexes byte-identical")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from ..stindex.stgrid import STGridIndex
 from .model import STDataset, UserId
 from .pair_eval import PairEvalStats, ppj_b_pair
-from .query import UserPair
+from .query import UserPair, _check_thresholds
 from .similarity import set_similarity
 from .sppj_f import candidate_bound, collect_candidates
 from .topk import _TopKHeap
@@ -46,9 +46,11 @@ def similar_users(
     so results are byte-identical to the cold path, which builds the
     index here.
 
-    Raises ``ValueError`` for an unknown probe user, non-positive ``k``,
-    or a prebuilt index that does not match ``eps_loc``.
+    Raises ``ValueError`` for out-of-range thresholds (as the join
+    queries do), an unknown probe user, non-positive ``k``, or a
+    prebuilt index that does not match ``eps_loc``.
     """
+    _check_thresholds(eps_loc, eps_doc)
     if k < 1:
         raise ValueError("k must be positive")
     probe_objects = dataset.user_objects(user)
@@ -157,6 +159,7 @@ def naive_similar_users(
     Ties break like :func:`~repro.core.query.pair_sort_key` (smaller user
     id string first), the rule :func:`similar_users`' heap applies.
     """
+    _check_thresholds(eps_loc, eps_doc)
     if k < 1:
         raise ValueError("k must be positive")
     probe_objects = dataset.user_objects(user)

@@ -4,10 +4,11 @@ Given two users' object sets laid out on the spatio-textual grid, these
 routines compute how many objects of each user match the other user —
 the quantity ``sigma`` is made of.  Three building blocks:
 
-* :func:`join_object_lists` — the PPJ primitive: a spatio-textual join
-  between two small object lists (one per user) that *marks matched
-  objects* instead of returning pairs, and skips pairs whose two objects
-  are both already matched;
+* :func:`join_packs` — the PPJ primitive: a spatio-textual join
+  between two small packed object lists (one per user) that *marks
+  matched objects* instead of returning pairs, and skips pairs whose two
+  objects are both already matched (:func:`join_object_lists` packs
+  plain lists for it);
 * :func:`ppj_c_pair` — the non-self-join PPJ-C of Algorithm 1: visit the
   two users' cells in ascending id order, joining each cell with itself
   and its lower-id neighbours; computes the exact matched-object count;
@@ -36,7 +37,13 @@ from ..textual.measures import JACCARD
 from ..textual.ppjoin import build_prefix_index
 from .model import STObject, UserId
 
-__all__ = ["join_object_lists", "ppj_c_pair", "ppj_b_pair", "PairEvalStats"]
+__all__ = [
+    "join_packs",
+    "join_object_lists",
+    "ppj_c_pair",
+    "ppj_b_pair",
+    "PairEvalStats",
+]
 
 #: Below this many candidate object pairs a direct nested loop beats the
 #: PPJOIN machinery (index construction dominates on tiny cell contents).
@@ -443,6 +450,41 @@ def _join_cell_packs(
     )
 
 
+def join_packs(
+    pack_a: CellPack,
+    pack_b: CellPack,
+    eps_sq: float,
+    eps_doc: float,
+    matched_a: Set[int],
+    matched_b: Set[int],
+    stats: Optional[PairEvalStats] = None,
+    predicate: Optional[Callable[[STObject, STObject], bool]] = None,
+) -> None:
+    """PPJ between two non-empty packs; matched oids are added to the sets.
+
+    Tiny joins run the nested loop; larger ones build a prefix index over
+    the larger side (the packs carry no cell key to cache it under) and
+    probe it with the other.  PPJ-D's cached leaf clips come here.
+    """
+    na, nb = len(pack_a.oids), len(pack_b.oids)
+    if stats is not None:
+        stats.cell_joins += 1
+        stats.object_pairs += na * nb
+    if na * nb <= _SMALL_JOIN_LIMIT:
+        _join_small(
+            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
+        )
+        return
+    index_is_b = nb >= na
+    index_map = build_prefix_index(
+        (pack_b if index_is_b else pack_a).docs, eps_doc
+    )
+    _probe_join(
+        pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
+        matched_a, matched_b, predicate,
+    )
+
+
 def join_object_lists(
     objs_a: Sequence[STObject],
     objs_b: Sequence[STObject],
@@ -462,35 +504,14 @@ def join_object_lists(
     match condition (e.g. the temporal proximity check of the temporal
     STPSJoin extension), evaluated after the spatial test.
 
-    This list-based entry point packs its inputs on the fly (callers like
-    PPJ-D clip leaf lists per area, so there is nothing to cache); the
-    grid-based evaluators below go through the index's cached
-    :class:`~repro.stindex.stgrid.CellPack`s and prefix indexes instead.
+    Packs both lists and calls :func:`join_packs`; an empty side is a
+    no-op that counts no join.
     """
     if not objs_a or not objs_b:
         return
-    if stats is not None:
-        stats.cell_joins += 1
-        stats.object_pairs += len(objs_a) * len(objs_b)
-    eps_sq = eps_loc * eps_loc
-    pack_a = CellPack(objs_a)
-    pack_b = CellPack(objs_b)
-
-    if len(objs_a) * len(objs_b) <= _SMALL_JOIN_LIMIT:
-        _join_small(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
-        )
-        return
-
-    if len(objs_b) >= len(objs_a):
-        index_map = build_prefix_index(pack_b.docs, eps_doc)
-        index_is_b = True
-    else:
-        index_map = build_prefix_index(pack_a.docs, eps_doc)
-        index_is_b = False
-    _probe_join(
-        pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
-        matched_a, matched_b, predicate,
+    join_packs(
+        CellPack(objs_a), CellPack(objs_b), eps_loc * eps_loc, eps_doc,
+        matched_a, matched_b, stats, predicate,
     )
 
 

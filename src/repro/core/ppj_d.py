@@ -7,27 +7,27 @@ user that has not been responsible for the pair yet (``>= l`` when
 consuming from the first list, ``> l`` from the second, so each ordered
 leaf pair is joined exactly once).  Each leaf-pair join is restricted to
 the intersection ``A`` of the two ``eps_loc``-extended leaf MBRs —
-objects outside ``A`` cannot satisfy the spatial threshold.  After a leaf
-is consumed all its objects are decided, so the running count of decided,
+objects outside ``A`` cannot satisfy the spatial threshold.  The clipped
+object lists come packed from the index's lazily filled per-``(leaf,
+user)`` cache (:meth:`~repro.stindex.leaf_index.STLeafIndex.clip_packs`),
+so a leaf is clipped once per partner leaf, not once per user pair; a
+leaf pair where either clip is empty is never joined.  After a leaf is
+consumed all its objects are decided, so the running count of decided,
 unmatched objects prunes against the Lemma 1 bound exactly as in PPJ-B.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Set
 
 from ..stindex.leaf_index import STLeafIndex
-from .model import STObject, UserId
-from .pair_eval import PairEvalStats, join_object_lists
+from .model import UserId
+from .pair_eval import PairEvalStats, join_packs
 
 __all__ = ["ppj_d_pair"]
 
 _EPS = 1e-9
-
-
-def _clip(objs: Sequence[STObject], area) -> List[STObject]:
-    """Objects of a leaf falling inside the (extended-MBR) intersection."""
-    return [o for o in objs if area.contains_point(o.x, o.y)]
+_PAST_LAST = float("inf")
 
 
 def ppj_d_pair(
@@ -52,55 +52,47 @@ def ppj_d_pair(
     leaves_b = index.user_leaves(user_b)
     if not leaves_a or not leaves_b:
         return 0.0
+    sizes_a = index.user_leaf_sizes(user_a)
+    sizes_b = index.user_leaf_sizes(user_b)
     set_b = set(leaves_b)
     set_a = set(leaves_a)
+    clip_packs = index.clip_packs
+    eps_sq = eps_loc * eps_loc
 
     matched_a: Set[int] = set()
     matched_b: Set[int] = set()
     i_a = i_b = 0
     decided = 0  # objects whose every matching opportunity has been joined
 
-    while i_a < len(leaves_a) or i_b < len(leaves_b):
-        leaf_a = leaves_a[i_a] if i_a < len(leaves_a) else None
-        leaf_b = leaves_b[i_b] if i_b < len(leaves_b) else None
-        take_a = leaf_b is None or (leaf_a is not None and leaf_a <= leaf_b)
-        take_b = leaf_a is None or (leaf_b is not None and leaf_b <= leaf_a)
+    n_a, n_b = len(leaves_a), len(leaves_b)
+    while i_a < n_a or i_b < n_b:
+        # An exhausted list reads as a leaf id past every real one.
+        leaf_a = leaves_a[i_a] if i_a < n_a else _PAST_LAST
+        leaf_b = leaves_b[i_b] if i_b < n_b else _PAST_LAST
+        take_a = leaf_a <= leaf_b
+        take_b = leaf_b <= leaf_a
 
         if take_a:
-            objs_a = index.leaf_objects(leaf_a, user_a)
-            for other in index.relevant_leaves(leaf_a):
+            for other, pack_a in clip_packs(leaf_a, user_a).items():
                 if other >= leaf_a and other in set_b:
-                    area = index.intersection_area(leaf_a, other)
-                    if area is None:
-                        continue
-                    join_object_lists(
-                        _clip(objs_a, area),
-                        _clip(index.leaf_objects(other, user_b), area),
-                        eps_loc,
-                        eps_doc,
-                        matched_a,
-                        matched_b,
-                        stats,
-                    )
-            decided += len(objs_a)
+                    pack_b = clip_packs(other, user_b).get(leaf_a)
+                    if pack_b is not None:
+                        join_packs(
+                            pack_a, pack_b, eps_sq, eps_doc,
+                            matched_a, matched_b, stats,
+                        )
+            decided += sizes_a[i_a]
 
         if take_b:
-            objs_b = index.leaf_objects(leaf_b, user_b)
-            for other in index.relevant_leaves(leaf_b):
+            for other, pack_b in clip_packs(leaf_b, user_b).items():
                 if other > leaf_b and other in set_a:
-                    area = index.intersection_area(other, leaf_b)
-                    if area is None:
-                        continue
-                    join_object_lists(
-                        _clip(index.leaf_objects(other, user_a), area),
-                        _clip(objs_b, area),
-                        eps_loc,
-                        eps_doc,
-                        matched_a,
-                        matched_b,
-                        stats,
-                    )
-            decided += len(objs_b)
+                    pack_a = clip_packs(other, user_a).get(leaf_b)
+                    if pack_a is not None:
+                        join_packs(
+                            pack_a, pack_b, eps_sq, eps_doc,
+                            matched_a, matched_b, stats,
+                        )
+            decided += sizes_b[i_b]
 
         # Lemma 1 pruning on decided objects.  len(matched) may count
         # not-yet-decided objects, which only makes the check conservative.

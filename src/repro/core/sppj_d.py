@@ -13,10 +13,10 @@ the baselines.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 from ..stindex.leaf_index import STLeafIndex
-from .model import STDataset, UserId
+from .model import STDataset
 from .pair_eval import PairEvalStats
 from .ppj_d import ppj_d_pair
 from .query import STPSJoinQuery, UserPair
@@ -60,24 +60,9 @@ def sppj_d(
 
     for user in dataset.users:
         my_rank = rank[user]
-        # Filter: probe the per-leaf token lists of relevant leaves.
-        # M^u (leaves of `user`) and M^{u'} (leaves of the candidate).
-        candidates: Dict[UserId, Tuple[Set[int], Set[int]]] = {}
-        for leaf in index.user_leaves(user):
-            tokens = index.user_leaf_tokens(user, leaf)
-            if not tokens:
-                continue
-            for other_leaf in index.relevant_leaves(leaf):
-                for token in tokens:
-                    for cand in index.token_users(other_leaf, token):
-                        if rank[cand] <= my_rank:
-                            continue
-                        entry = candidates.get(cand)
-                        if entry is None:
-                            entry = (set(), set())
-                            candidates[cand] = entry
-                        entry[0].add(leaf)
-                        entry[1].add(other_leaf)
+        # Filter: probe the per-leaf token lists of relevant leaves for
+        # higher-ranked users; M^u and M^{u'} come with each candidate.
+        candidates = index.leaf_candidates(user, lambda c: rank[c] > my_rank)
 
         size_u = sizes[user]
         if stats is not None:

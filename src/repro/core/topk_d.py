@@ -13,7 +13,7 @@ best score.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..stindex.leaf_index import STLeafIndex
 from .model import STDataset, UserId
@@ -50,22 +50,7 @@ def topk_sppj_d(
     processed: Set[UserId] = set()
 
     for user in ordered:
-        candidates: Dict[UserId, Tuple[Set[int], Set[int]]] = {}
-        for leaf in index.user_leaves(user):
-            tokens = index.user_leaf_tokens(user, leaf)
-            if not tokens:
-                continue
-            for other_leaf in index.relevant_leaves(leaf):
-                for token in tokens:
-                    for cand in index.token_users(other_leaf, token):
-                        if cand not in processed:
-                            continue
-                        entry = candidates.get(cand)
-                        if entry is None:
-                            entry = (set(), set())
-                            candidates[cand] = entry
-                        entry[0].add(leaf)
-                        entry[1].add(other_leaf)
+        candidates = index.leaf_candidates(user, processed.__contains__)
         processed.add(user)
         if stats is not None:
             stats.candidates += len(candidates)

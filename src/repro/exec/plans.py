@@ -42,7 +42,7 @@ import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import kernels as _kernels
-from ..core.model import STDataset, UserId
+from ..core.model import STDataset
 from ..obs import runtime as _obs
 from ..core.pair_eval import PairEvalStats, ppj_b_pair, ppj_c_pair
 from ..core.ppj_d import ppj_d_pair
@@ -689,7 +689,7 @@ class SPPJDPlan(_UserShardPlan):
             my_rank = rank[user]
             if reg is not None:
                 started = time.perf_counter()
-            candidates = _leaf_candidates(index, user, rank, lambda r: r > my_rank)
+            candidates = index.leaf_candidates(user, lambda c: rank[c] > my_rank)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
@@ -726,32 +726,6 @@ class SPPJDPlan(_UserShardPlan):
             reg.counter("pairs.emitted").inc(len(out))
             reg.histogram("phase.candidates").observe(cand_seconds)
         return out
-
-
-def _leaf_candidates(index: STLeafIndex, user: UserId, rank, keep):
-    """S-PPJ-D candidate generation: leaf-token probing with a rank filter.
-
-    ``keep`` receives the candidate's rank and decides membership —
-    S-PPJ-D pairs each user with *higher*-ranked candidates (mirroring
-    the sequential algorithm), the top-k plan with lower-ranked ones.
-    """
-    candidates: Dict[UserId, Tuple[set, set]] = {}
-    for leaf in index.user_leaves(user):
-        tokens = index.user_leaf_tokens(user, leaf)
-        if not tokens:
-            continue
-        for other_leaf in index.relevant_leaves(leaf):
-            for token in tokens:
-                for cand in index.token_users(other_leaf, token):
-                    if not keep(rank[cand]):
-                        continue
-                    entry = candidates.get(cand)
-                    if entry is None:
-                        entry = (set(), set())
-                        candidates[cand] = entry
-                    entry[0].add(leaf)
-                    entry[1].add(other_leaf)
-    return candidates
 
 
 # -- top-k joins -------------------------------------------------------------------
@@ -937,7 +911,7 @@ class TopKLeafPlan(_UserShardPlan):
             my_rank = rank[user]
             if reg is not None:
                 started = time.perf_counter()
-            candidates = _leaf_candidates(index, user, rank, lambda r: r < my_rank)
+            candidates = index.leaf_candidates(user, lambda c: rank[c] < my_rank)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)

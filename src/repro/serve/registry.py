@@ -8,7 +8,9 @@ kept for the lifetime of the server:
   per distinct ``eps_loc`` — a single grid serves S-PPJ-C/B (which
   ignore the token lists), S-PPJ-F, the grid top-k family and knn;
 * one :class:`~repro.stindex.leaf_index.STLeafIndex` per distinct
-  ``(eps_loc, fanout, partitioner)`` for the S-PPJ-D family.
+  ``(eps_loc, fanout, partitioner)`` for the S-PPJ-D family; its
+  clip-pack cache fills as queries touch it and is shared by all of
+  them.
 
 Versioning is by *content*: :meth:`repro.core.model.STDataset.fingerprint`
 hashes the objects themselves, so re-registering an identical file is a

@@ -24,6 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..core import kernels as _kernels
 from ..core.api import JOIN_ALGORITHMS, TOPK_ALGORITHMS, stps_join, topk_stps_join
 from ..core.knn import similar_users
+from ..core.query import STPSJoinQuery, TopKQuery, _check_thresholds
 from ..datasets.loaders import load_tsv
 from ..exec import DeadlineExceeded, ExecutionPolicy
 from ..obs import MetricsRegistry, Telemetry
@@ -378,6 +379,17 @@ class JoinService:
             user = request.get("user")
             if user is None or user == "":
                 raise QueryError("user must be provided")
+        # Range-check the thresholds here, before _evaluate builds (and
+        # keeps) a warm index for them.
+        try:
+            if kind == "join":
+                STPSJoinQuery(eps_loc, eps_doc, third)
+            elif kind == "topk":
+                TopKQuery(eps_loc, eps_doc, third)
+            else:
+                _check_thresholds(eps_loc, eps_doc)
+        except ValueError as exc:
+            raise QueryError(str(exc)) from None
         explain = bool(request.get("explain", False))
         if explain and kind == "knn":
             raise QueryError("explain is not supported for knn queries")

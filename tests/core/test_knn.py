@@ -53,6 +53,13 @@ class TestSimilarUsers:
         with pytest.raises(ValueError):
             similar_users(ds, ds.users[0], 0.1, 0.3, 0)
 
+    @pytest.mark.parametrize("search", [similar_users, naive_similar_users])
+    @pytest.mark.parametrize("eps_loc,eps_doc", [(0.1, 7.0), (0.1, 0.0), (-1.0, 0.3)])
+    def test_out_of_range_thresholds_raise(self, search, eps_loc, eps_doc):
+        ds = build_random_dataset(0, n_users=4)
+        with pytest.raises(ValueError, match="eps_loc|eps_doc"):
+            search(ds, ds.users[0], eps_loc, eps_doc, 3)
+
     def test_no_positive_neighbours(self):
         from repro import STDataset
 

@@ -120,6 +120,12 @@ class TestErrorMapping:
                           "eps_loc": float("inf"), "eps_doc": 0.3, "k": 3})
         assert exc_info.value.status == 400
 
+    def test_knn_out_of_range_eps_doc_400(self, served, dataset):
+        client, _, _ = served
+        with pytest.raises(ServerError) as exc_info:
+            client.knn("demo", dataset.users[0], EPS_LOC, 7.0, 3)
+        assert exc_info.value.status == 400
+
     def test_invalid_json_400(self, served):
         client, _, _ = served
         request = urllib.request.Request(

@@ -252,6 +252,29 @@ class TestValidationAndLimits:
             "grid_indexes": 0, "leaf_indexes": 0,
         }
 
+    @pytest.mark.parametrize(
+        "kind,algorithm",
+        [("join", None), ("topk", None), ("knn", None), ("join", "s-ppj-d")],
+    )
+    @pytest.mark.parametrize(
+        "eps_loc,eps_doc", [(-1.0, EPS_DOC), (EPS_LOC, 7.0)]
+    )
+    def test_out_of_range_threshold_rejected_before_indexing(
+        self, service, dataset, kind, algorithm, eps_loc, eps_doc
+    ):
+        request = {"type": kind, "dataset": "demo", "eps_loc": eps_loc,
+                   "eps_doc": eps_doc, "eps_user": EPS_USER, "k": K,
+                   "user": dataset.users[0]}
+        if algorithm is not None:
+            request["algorithm"] = algorithm
+        with pytest.raises(QueryError, match="eps_loc|eps_doc"):
+            service.query(request)
+        (record,) = service.audit_tail()
+        assert record["outcome"] == "bad_request"
+        assert service.registry.get("demo").index_stats() == {
+            "grid_indexes": 0, "leaf_indexes": 0,
+        }
+
     def test_knn_needs_user(self, service):
         with pytest.raises(QueryError):
             service.query({"type": "knn", "dataset": "demo",

@@ -87,4 +87,5 @@ class TestRelevance:
     def test_intersection_area(self, index):
         for leaf_id in range(index.num_leaves):
             for other in index.relevant_leaves(leaf_id):
-                assert index.intersection_area(leaf_id, other) is not None
+                area = index.extended[leaf_id].intersection(index.extended[other])
+                assert area is not None
